@@ -93,8 +93,11 @@ SCENARIOS: Dict[str, str] = {
 #: Lease TTL for chaos runs — short, so takeovers happen in test time.
 CHAOS_LEASE_TTL = 1.0
 
-#: Per-cell wall-time floor giving faults a window to land in.
-CHAOS_CELL_FLOOR = 0.05
+#: Per-cell wall-time floor giving faults a window to land in.  Sized
+#: like a sampled ``smoke`` cell (0.13-0.2 s): summary-only cells skip
+#: the state sampler and compute in ~0.03 s, which would let the grid
+#: drain before a crash-looping slot reaches quarantine.
+CHAOS_CELL_FLOOR = 0.15
 
 #: Supervisor budget tuned for second-scale scenarios (same shape as
 #: the production default, faster clocks).

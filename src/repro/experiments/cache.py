@@ -63,6 +63,7 @@ __all__ = [
     "open_cache",
     "resolve_cache_dir",
     "stable_hash",
+    "sweep_tmp_droppings",
 ]
 
 #: Bump when the on-disk entry layout changes (entries with another
@@ -554,7 +555,8 @@ class ResultCache:
         oldest-modified entries until the directory fits.  Each file is
         removed individually with :meth:`Path.unlink` — readers racing
         the gc either see the complete entry or a clean miss, never a
-        torn file.  Orphaned atomic-write temp files and *settled*
+        torn file.  Temp files abandoned by dead writers (see
+        :func:`sweep_tmp_droppings`) and *settled*
         fabric lease files (older than ``max_age_seconds``, or all of
         them when only ``max_bytes`` is given and the entry they
         journal is gone) are cleaned up alongside.
@@ -633,7 +635,7 @@ class ResultCache:
             except OSError:
                 continue
         if not dry_run:
-            self._sweep_tmp_files()
+            sweep_tmp_droppings(self)
         return CacheGcReport(
             scanned=len(entries),
             evicted=evicted,
@@ -644,17 +646,43 @@ class ResultCache:
             leases_live=len(live),
         )
 
-    def _sweep_tmp_files(self) -> None:
-        """Remove orphaned atomic-write temp files (crashed writers)."""
-        for path in self.root.glob("*/*.tmp.*"):
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:
-                pass
-
     def _evict(self, path: Path) -> None:
         try:
             path.unlink(missing_ok=True)
             self.stats.evictions += 1
         except OSError:
             pass
+
+
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except (OSError, PermissionError):
+        return True
+    return True
+
+
+def sweep_tmp_droppings(cache: ResultCache) -> int:
+    """Remove tmp files abandoned by killed writers.
+
+    Atomic writes go ``<name>.tmp.<writer>.<pid>`` then rename; a process
+    SIGKILLed between the two leaves the tmp behind (a heartbeat or
+    publish caught mid-write).  Once the writing pid is gone the file
+    is provably garbage — nothing will ever rename it — so it is
+    unlinked.  Tmp files of still-live pids are someone's in-flight
+    write and are left alone: unlinking one would make that writer's
+    ``os.replace`` fail.  Returns the number removed.
+    """
+    removed = 0
+    for path in cache.root.rglob("*.tmp.*"):
+        suffix = path.name.rsplit(".", 1)[-1]
+        if not suffix.isdigit() or _pid_alive(int(suffix)):
+            continue
+        try:
+            path.unlink(missing_ok=True)
+            removed += 1
+        except OSError:
+            pass
+    return removed

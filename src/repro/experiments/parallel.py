@@ -272,15 +272,22 @@ def make_cell_task(
 def _simulate_task(task: CellTask) -> Tuple[int, PerformanceSummary, Optional[SimulationResult], float]:
     """Worker entry point: run one cell and time it.
 
-    Module-level (not a closure) so it pickles into pool workers.
+    Module-level (not a closure) so it pickles into pool workers.  A
+    cell that keeps only its summary runs without recording state
+    samples (``summarize`` never reads them); ``task.config`` and the
+    cache key are untouched, so the summary and cache entry are the
+    same either way.
     """
+    config = task.config
+    if not task.keep_result:
+        config = replace(config, record_samples=False)
     start = time.perf_counter()
     result = run_simulation(
         task.scenario.trace,
         task.scenario.cluster,
         policy=task.policy,
         initial_scheduler=task.scheduler,
-        config=task.config,
+        config=config,
     )
     wall = time.perf_counter() - start
     summary = summarize(result)

@@ -36,14 +36,13 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import os
 import subprocess
 import sys
 import time
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence
 
-from ..experiments.cache import ResultCache
+from ..experiments.cache import ResultCache, sweep_tmp_droppings
 from ..experiments.parallel import CellTask
 from .backends import (
     BackendError,
@@ -550,39 +549,6 @@ def sweep_settled_leases(
                 candidates.pop(key)
         if candidates:
             sleep(min(0.1, grace / 4.0))
-    return removed
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except (OSError, PermissionError):
-        return True
-    return True
-
-
-def sweep_tmp_droppings(cache: ResultCache) -> int:
-    """Remove tmp files abandoned by killed writers.
-
-    Atomic writes go ``<name>.tmp.<writer>.<pid>`` then rename; a process
-    SIGKILLed between the two leaves the tmp behind (a heartbeat or
-    publish caught mid-write).  Once the writing pid is gone the file
-    is provably garbage — nothing will ever rename it — so it is
-    unlinked.  Tmp files of still-live pids are someone's in-flight
-    write and are left alone.  Returns the number removed.
-    """
-    removed = 0
-    for path in cache.root.rglob("*.tmp.*"):
-        suffix = path.name.rsplit(".", 1)[-1]
-        if not suffix.isdigit() or _pid_alive(int(suffix)):
-            continue
-        try:
-            path.unlink(missing_ok=True)
-            removed += 1
-        except OSError:
-            pass
     return removed
 
 

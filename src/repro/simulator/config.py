@@ -40,11 +40,22 @@ class SimulationConfig:
             work added as overhead, modelling the 10-20% virtualised
             execution penalty the paper cites when discussing VM
             migration (Section 2.3).
-        max_minutes: optional hard wall on simulated time; exceeding it
-            raises :class:`~repro.errors.SimulationError`.  A guard
-            against pathological workloads, not a normal stop.
-        record_samples: disable to skip state sampling entirely (saves
-            memory in policy-search sweeps that only need job records).
+        max_minutes: optional hard wall on simulated time; an event
+            past it raises :class:`~repro.errors.SimulationError` while
+            any job is outstanding (or a streaming feed still has
+            jobs).  A guard against pathological workloads, not a
+            normal stop: trailing events after the last job (the final
+            sample tick) run on, so the result equals the unbounded
+            run's.
+        record_samples: whether each sampling tick appends a
+            :class:`~repro.simulator.results.StateSample` to the result.
+            It controls recording, not the tick: the per-minute tick
+            also runs whenever telemetry metrics or
+            ``check_invariants`` are on, and those behave the same
+            either way.  Disable it for runs that only need job records
+            (grid cells that keep only a summary do so automatically);
+            with neither telemetry nor invariant checks on, no tick is
+            scheduled at all.
         check_invariants: run deep state validation at every sample
             tick.  Very slow; meant for tests.
         faults: the :class:`~repro.faults.FaultConfig` fault model

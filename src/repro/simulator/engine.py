@@ -185,11 +185,21 @@ class SimulationEngine:
         # sites need no per-record sink check.
         self._add_record = self._records.append if sink is None else sink.add_record
         self._add_sample = self._samples.append if sink is None else sink.add_sample
+        # The sampling tick also drives the sampled telemetry gauges and
+        # the deep invariant checks, so it runs whenever any of the
+        # three wants it; only the StateSample append honours
+        # ``record_samples``.
+        ticking = (
+            self.config.record_samples
+            or self._telemetry is not None
+            or self.config.check_invariants
+        )
         streaming = not isinstance(trace, Trace)
         self._feed = iter(trace) if streaming else None
         #: True once a streaming feed has yielded its last job (always
         #: True in materialised mode: every submission is queued up
-        #: front, so the sampler's keep-alive check needs no feed term).
+        #: front, so the sampler's keep-alive and the ``max_minutes``
+        #: check need no feed term).
         self._feed_exhausted = not streaming
         self._outstanding = 0 if streaming else len(trace)
         # Eligible-pool tuples cached at two levels: per requirement
@@ -207,7 +217,7 @@ class SimulationEngine:
             # The feed's maximum job id is unknown until it is drained;
             # shadow attempts start from a base no real trace reaches.
             self._shadow_ids = itertools.count(STREAMING_SHADOW_ID_BASE)
-            if self.config.record_samples:
+            if ticking:
                 self._events.push(0.0, EVENT_SAMPLE, None)
         else:
             self._shadow_ids = itertools.count(
@@ -219,7 +229,7 @@ class SimulationEngine:
             events: List[Tuple[float, int, object]] = [
                 (spec.submit_minute, EVENT_SUBMIT, Job(spec)) for spec in trace
             ]
-            if self.config.record_samples:
+            if ticking:
                 events.append((0.0, EVENT_SAMPLE, None))
             self._events.push_many_unsorted(events)
         self._faults: Optional[FaultInjector] = None
@@ -295,10 +305,7 @@ class SimulationEngine:
                     break
                 time, _, kind, payload = pop()
                 if max_minutes is not None and time > max_minutes:
-                    raise SimulationError(
-                        f"simulation exceeded max_minutes={max_minutes} "
-                        f"with {self._outstanding} jobs outstanding"
-                    )
+                    self._check_deadline(max_minutes)
                 dispatch[kind](payload, time)
         else:
             while len(events):
@@ -306,10 +313,7 @@ class SimulationEngine:
                     break
                 time, _, kind, payload = pop()
                 if max_minutes is not None and time > max_minutes:
-                    raise SimulationError(
-                        f"simulation exceeded max_minutes={max_minutes} "
-                        f"with {self._outstanding} jobs outstanding"
-                    )
+                    self._check_deadline(max_minutes)
                 if telemetry is not None:
                     telemetry.count_queue_event(EVENT_NAMES[kind])
                 if profiler is not None:
@@ -410,10 +414,7 @@ class SimulationEngine:
                         )
                     last_submit = submit_minute
                     if max_minutes is not None and submit_minute > max_minutes:
-                        raise SimulationError(
-                            f"simulation exceeded max_minutes={max_minutes} "
-                            f"with {self._outstanding} jobs outstanding"
-                        )
+                        self._check_deadline(max_minutes)
                     advance(submit_minute)
                     self._outstanding += 1
                     if instrumented:
@@ -436,10 +437,7 @@ class SimulationEngine:
                 break
             time, _, kind, payload = pop()
             if max_minutes is not None and time > max_minutes:
-                raise SimulationError(
-                    f"simulation exceeded max_minutes={max_minutes} "
-                    f"with {self._outstanding} jobs outstanding"
-                )
+                self._check_deadline(max_minutes)
             if instrumented:
                 if telemetry is not None:
                     telemetry.count_queue_event(EVENT_NAMES[kind])
@@ -450,6 +448,20 @@ class SimulationEngine:
                     profiler.record(EVENT_NAMES[kind], perf_counter() - started_at)
             else:
                 dispatch[kind](payload, time)
+
+    def _check_deadline(self, max_minutes: float) -> None:
+        """Raise for an event past ``max_minutes`` unless the work is done.
+
+        Called only for events beyond the wall.  Once no job is
+        outstanding and the feed is exhausted, what remains is trailing
+        bookkeeping (the last sample tick, stale timers); it runs on so
+        the result equals the unbounded run's.
+        """
+        if self._outstanding or not self._feed_exhausted:
+            raise SimulationError(
+                f"simulation exceeded max_minutes={max_minutes} "
+                f"with {self._outstanding} jobs outstanding"
+            )
 
     def eligible_candidates(self, spec: TraceJob) -> Tuple[str, ...]:
         """Pools where ``spec`` is whitelisted and statically eligible.
@@ -665,19 +677,20 @@ class SimulationEngine:
             per_pool_busy.append(pool.busy_cores)
             per_pool_waiting.append(pool_waiting)
             per_pool_suspended.append(pool_suspended)
-        self._add_sample(
-            StateSample(
-                minute=now,
-                busy_cores=busy,
-                total_cores=self.total_cores,
-                running_jobs=running,
-                suspended_jobs=suspended,
-                waiting_jobs=waiting,
-                per_pool_busy=tuple(per_pool_busy),
-                per_pool_waiting=tuple(per_pool_waiting),
-                per_pool_suspended=tuple(per_pool_suspended),
+        if self.config.record_samples:
+            self._add_sample(
+                StateSample(
+                    minute=now,
+                    busy_cores=busy,
+                    total_cores=self.total_cores,
+                    running_jobs=running,
+                    suspended_jobs=suspended,
+                    waiting_jobs=waiting,
+                    per_pool_busy=tuple(per_pool_busy),
+                    per_pool_waiting=tuple(per_pool_waiting),
+                    per_pool_suspended=tuple(per_pool_suspended),
+                )
             )
-        )
         if self._telemetry is not None:
             self._telemetry.on_sample(
                 now,

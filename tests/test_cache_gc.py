@@ -9,6 +9,8 @@ and temp-file cleanup, honest dry runs, and reader-safe atomicity).
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 
 from repro.experiments.cache import CacheDiskStats, CacheGcReport, ResultCache
 from repro.fabric.lease import LeaseStore
@@ -174,6 +176,24 @@ class TestGc:
         orphan.write_bytes(b"half-written")
         cache.gc(max_age_seconds=10**9)
         assert not orphan.exists()
+
+    def test_gc_spares_tmp_files_of_live_writers(self, tmp_path):
+        # A live writer's tmp is an in-flight atomic write: unlinking it
+        # would make the writer's os.replace raise FileNotFoundError.
+        cache = ResultCache(tmp_path)
+        fill(cache, 1)
+        finished = subprocess.run(
+            [sys.executable, "-c", "import os; print(os.getpid())"],
+            capture_output=True, text=True, check=True,
+        )
+        dead_pid = int(finished.stdout)
+        live = tmp_path / "00" / f"{key(0)}.bin.tmp.1.{os.getpid()}"
+        dead = tmp_path / "00" / f"{key(0)}.bin.tmp.1.{dead_pid}"
+        for path in (live, dead):
+            path.write_bytes(b"half-written")
+        cache.gc(max_age_seconds=10**9)
+        assert live.exists()
+        assert not dead.exists()
 
     def test_dry_run_keeps_tmp_files(self, tmp_path):
         cache = ResultCache(tmp_path)
