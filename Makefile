@@ -1,4 +1,4 @@
-.PHONY: ci test lint smoke faults bench bench-record bench-check ingest fabric policies chaos
+.PHONY: ci test lint smoke faults bench bench-record bench-check ingest fabric policies chaos perfbench
 
 # Everything CI runs, in one command (tests + lint + smoke + faults).
 ci:
@@ -38,6 +38,11 @@ policies:
 # audit, the CLI round trip, and the BENCH_chaos.json recovery check.
 chaos:
 	scripts/ci.sh chaos
+
+# Pipeline-benchmark gate: perfbench's own tests, then one traced round
+# per workload that must reproduce the pinned digests and work counts.
+perfbench:
+	scripts/ci.sh perfbench
 
 # Full reproduction log: every table/figure benchmark at current scale,
 # then a refreshed point on the engine-throughput trajectory.

@@ -2,7 +2,7 @@
 # CI entry point — the same commands run locally (`make ci`) and in
 # .github/workflows/ci.yml, so a green local run means a green pipeline.
 #
-# Usage: scripts/ci.sh [tests|lint|smoke|faults|bench|ingest|fabric|policies|chaos|all]
+# Usage: scripts/ci.sh [tests|lint|smoke|faults|bench|ingest|fabric|policies|chaos|perfbench|all]
 #
 # Subcommands:
 #   tests   tier-1 test suite (the gate every PR must keep green)
@@ -54,9 +54,14 @@
 #           --chaos --check: any invariant violation, or a scenario's
 #           recovery time regressing more than 25% past the committed
 #           baseline, fails the leg)
+#   perfbench  pipeline-benchmark gate: the benchmark's own tests,
+#           then one traced round of every perfbench workload at seed
+#           2010, which must reproduce the pinned result digests and
+#           traced work counts in perfbench/digests.json (events per
+#           handler included) — the guard on every event-loop change
 #   all     tests + lint + smoke + faults (default; bench, ingest,
-#           fabric and chaos are their own CI jobs because they are
-#           timing-sensitive, and policies is its own job so a
+#           fabric, chaos and perfbench are their own CI jobs because
+#           they are timing-sensitive, and policies is its own job so a
 #           registry regression is named in the check list)
 
 set -euo pipefail
@@ -304,6 +309,31 @@ EOF
         --threshold "${CHAOS_THRESHOLD:-0.25}" --output BENCH_chaos.json
 }
 
+run_perfbench() {
+    echo "== perfbench: benchmark helper tests =="
+    python3 -m pytest perfbench/tests -q
+
+    echo "== perfbench: pinned digests and traced work counts =="
+    local out
+    out="$(mktemp)"
+    python3 perfbench/run.py --workload all --seed 2010 --seconds 5 --trace 1 \
+        | tee "$out"
+    python3 - "$out" <<'EOF'
+import json
+import sys
+
+with open(sys.argv[1]) as handle:
+    result = json.loads(handle.read().strip().splitlines()[-1])
+if not result["correct"] or result["failed"]:
+    sys.exit(
+        f"error: perfbench checks failed (correct={result['correct']}, "
+        f"failed={result['failed']} of {result['attempted']} cells)"
+    )
+print(f"perfbench OK: {result['attempted']} cells match the pinned digests")
+EOF
+    rm -f "$out"
+}
+
 case "${1:-all}" in
     tests)  run_tests ;;
     lint)   run_lint ;;
@@ -314,9 +344,10 @@ case "${1:-all}" in
     fabric) run_fabric ;;
     policies) run_policies ;;
     chaos)  run_chaos ;;
+    perfbench) run_perfbench ;;
     all)    run_tests; run_lint; run_smoke; run_faults ;;
     *)
-        echo "usage: scripts/ci.sh [tests|lint|smoke|faults|bench|ingest|fabric|policies|chaos|all]" >&2
+        echo "usage: scripts/ci.sh [tests|lint|smoke|faults|bench|ingest|fabric|policies|chaos|perfbench|all]" >&2
         exit 2
         ;;
 esac

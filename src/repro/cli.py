@@ -200,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         default="local",
         metavar="SPEC",
-        help="execution backend: local[:N], subprocess[:N] or "
-        "ssh:host1,host2 (default: local)",
+        help="execution backend: local[:N] or subprocess[:N] "
+        "(default: local)",
     )
     run_grid.add_argument(
         "--shard-id", type=int, default=None, metavar="K",

@@ -60,7 +60,6 @@ __all__ = [
     "SupervisorStats",
     "deterministic_jitter",
     "sweep_settled_leases",
-    "sweep_tmp_droppings",
 ]
 
 

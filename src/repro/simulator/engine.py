@@ -9,6 +9,12 @@ of all NetBatch components" (Section 3.1).  This engine reproduces that
 design: a discrete-event core (submissions, completions, wait-timeout
 checks, rescheduling arrivals) plus a periodic sampling tick.
 
+One loop in :meth:`SimulationEngine.run` serves every input: the trace
+is a *feed* of jobs, and the submit handler queues the next job's
+submission.  Results go through one sink protocol (``add_record`` /
+``add_sample`` / ``finalize``), and telemetry and the profiler wrap the
+handler table at construction, so the loop is the same in every mode.
+
 The engine owns the event queue and the policy/scheduler hook points;
 pools own machine-level bookkeeping; jobs own their accounting.  The
 rescheduling policy is consulted exactly where the paper inserts its
@@ -19,11 +25,12 @@ job crosses the policy's threshold.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import deque
 from dataclasses import replace
 from time import perf_counter
-from typing import Deque, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Deque, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..core.context import PoolSnapshot, SystemView
 from ..core.decisions import Action, Decision
@@ -57,13 +64,15 @@ from .events import (
     EVENT_SAMPLE,
     EVENT_SUBMIT,
     EVENT_WAIT_TIMEOUT,
+    DEFAULT_BUCKET_WIDTH,
     EventQueue,
+    bucket_width_for,
 )
 from .job import Job, JobState
 from .machine import Machine
 from .pool import PhysicalPool, SubmitOutcome, SubmitResult
 from .observer import SimEvent
-from .results import JobRecord, SimulationResult, StateSample
+from .results import JobRecord, RecordingSink, SimulationResult, StateSample
 from .virtual_pool import VirtualPoolManager
 
 __all__ = ["SimulationEngine", "LiveSystemView", "STREAMING_SHADOW_ID_BASE"]
@@ -78,6 +87,75 @@ STREAMING_SHADOW_ID_BASE = 1 << 62
 #: replay RSS bounded even for traces whose requirement signatures never
 #: repeat; overflow degrades to recomputation, never to wrong answers.
 _SIGNATURE_CACHE_CAP = 8192
+
+
+def _merged_record(
+    identity: Job,
+    attempts: Tuple[Job, ...],
+    finish_minute: Optional[float],
+    restarts: int = 0,
+) -> JobRecord:
+    """One logical job's record, summing its attempts' accounting.
+
+    ``identity`` supplies the job's trace identity; a completed
+    duplicate pair counts the losing attempt as one extra restart
+    (``restarts``).  A job without a finish minute failed permanently.
+    """
+    spec = identity.spec
+    return JobRecord(
+        job_id=identity.job_id,
+        priority=identity.priority,
+        submit_minute=spec.submit_minute,
+        finish_minute=finish_minute,
+        runtime_minutes=spec.runtime_minutes,
+        cores=spec.cores,
+        memory_gb=spec.memory_gb,
+        wait_time=sum(a.total_wait for a in attempts),
+        suspend_time=sum(a.total_suspend for a in attempts),
+        wasted_restart_time=sum(a.wasted_restart for a in attempts),
+        suspension_count=sum(a.suspension_count for a in attempts),
+        restart_count=sum(a.restart_count for a in attempts) + restarts,
+        migration_count=sum(a.migration_count for a in attempts),
+        waiting_move_count=sum(a.waiting_move_count for a in attempts),
+        pools_visited=tuple(dict.fromkeys(p for a in attempts for p in a.pools_visited)),
+        rejected=False,
+        task_id=spec.task_id,
+        user=spec.user,
+        machine_failures=sum(a.machine_failures for a in attempts),
+        transient_failures=sum(a.transient_failures for a in attempts),
+        failed=finish_minute is None,
+    )
+
+
+#: An event handler: ``handler(payload, now)``.
+Handler = Callable[[object, float], None]
+
+
+def _timed(handler: Handler, name: str, record: Callable[[str, float], None]) -> Handler:
+    """``handler`` reporting its wall time to ``record`` (the profiler)."""
+
+    def timed(payload, now):
+        started_at = perf_counter()
+        handler(payload, now)
+        record(name, perf_counter() - started_at)
+
+    return timed
+
+
+def _counted(handler: Handler, name: str, count: Callable[[str], None]) -> Handler:
+    """``handler`` counting each call as one queue event named ``name``."""
+
+    def counted(payload, now):
+        count(name)
+        handler(payload, now)
+
+    return counted
+
+
+def _pop_all(jobs: List[Job]) -> Iterator[Job]:
+    """Yield ``jobs`` from the end, dropping each from the list."""
+    while jobs:
+        yield jobs.pop()
 
 
 class LiveSystemView(SystemView):
@@ -124,22 +202,24 @@ class SimulationEngine:
         """Build one single-use engine.
 
         Args:
-            trace: the workload.  A :class:`~repro.workload.trace.Trace`
-                is bulk-loaded up front (the classic path); any other
-                iterable of :class:`TraceJob` is consumed **lazily** in
-                submission order during :meth:`run` — constant-memory
-                streaming ingestion for traces too large to materialise.
-                Streaming feeds must be sorted by ``submit_minute``.
+            trace: the workload, consumed in submission order during
+                :meth:`run`.  A :class:`~repro.workload.trace.Trace`
+                builds all of its jobs here, so the loop only pops
+                them; any other iterable of :class:`TraceJob` is
+                consumed **lazily** — constant-memory streaming
+                ingestion for traces too large to materialise.  Either
+                way the feed must be sorted by ``submit_minute``.
             cluster: the site to emulate.
             policy: rescheduling policy (default: the NoRes baseline).
             initial_scheduler: VPM initial scheduler (default round-robin).
             config: engine knobs.
-            sink: optional result sink (e.g.
-                :class:`~repro.simulator.online.OnlineResults`).  When
-                given, per-job records and samples are folded into it as
-                they are produced instead of being materialised, and
-                :meth:`run` returns ``sink.finalize(...)``'s value
-                instead of a :class:`SimulationResult`.
+            sink: result sink (e.g.
+                :class:`~repro.simulator.online.OnlineResults`); per-job
+                records and samples are folded into it as they are
+                produced, and :meth:`run` returns ``sink.finalize(...)``'s
+                value.  Defaults to a
+                :class:`~repro.simulator.results.RecordingSink`, whose
+                result is a :class:`SimulationResult`.
         """
         self.config = config or SimulationConfig()
         self.policy = policy or NoRescheduling()
@@ -177,31 +257,32 @@ class SimulationEngine:
             VirtualPoolManager(f"vpm-{i}", self.scheduler, self.pools)
             for i in range(self.config.vpm_count)
         ]
-        self._events = EventQueue()
-        self._records: List[JobRecord] = []
-        self._samples: List[StateSample] = []
-        self._sink = sink
+        if isinstance(trace, Trace):
+            # Every Job is built here, outside the loop; the feed pops
+            # them off a list, so finished jobs are freed as they go.
+            jobs = [Job(spec) for spec in trace]
+            jobs.reverse()
+            self._feed: Iterator[Job] = _pop_all(jobs)
+            self._shadow_ids = itertools.count(
+                max((j.job_id for j in trace), default=0) + 1
+            )
+            width = bucket_width_for(trace.horizon(), len(trace))
+        else:
+            self._feed = map(Job, trace)
+            # The feed's maximum job id is unknown until it is drained;
+            # shadow attempts start from a base no real trace reaches.
+            self._shadow_ids = itertools.count(STREAMING_SHADOW_ID_BASE)
+            width = DEFAULT_BUCKET_WIDTH
+        self._events = EventQueue(width)
+        self._sink = sink if sink is not None else RecordingSink()
         # Hot-path record/sample routing: bound once, so the recording
-        # sites need no per-record sink check.
-        self._add_record = self._records.append if sink is None else sink.add_record
-        self._add_sample = self._samples.append if sink is None else sink.add_sample
-        # The sampling tick also drives the sampled telemetry gauges and
-        # the deep invariant checks, so it runs whenever any of the
-        # three wants it; only the StateSample append honours
-        # ``record_samples``.
-        ticking = (
-            self.config.record_samples
-            or self._telemetry is not None
-            or self.config.check_invariants
-        )
-        streaming = not isinstance(trace, Trace)
-        self._feed = iter(trace) if streaming else None
-        #: True once a streaming feed has yielded its last job (always
-        #: True in materialised mode: every submission is queued up
-        #: front, so the sampler's keep-alive and the ``max_minutes``
-        #: check need no feed term).
-        self._feed_exhausted = not streaming
-        self._outstanding = 0 if streaming else len(trace)
+        # sites need no per-record lookup.
+        self._add_record = self._sink.add_record
+        self._add_sample = self._sink.add_sample
+        #: Jobs submitted and not yet finished, rejected or failed.
+        self._outstanding = 0
+        #: True once the feed has yielded its last job.
+        self._feed_exhausted = False
         # Eligible-pool tuples cached at two levels: per requirement
         # signature, and per (signature, whitelist) pair so whitelisted
         # jobs skip the per-call filter too.
@@ -213,25 +294,18 @@ class SimulationEngine:
         # failure) merges both attempts' accounting.
         self._dup_fallen: Dict[int, Job] = {}
         self._outage_depth: Dict[str, int] = {}
-        if streaming:
-            # The feed's maximum job id is unknown until it is drained;
-            # shadow attempts start from a base no real trace reaches.
-            self._shadow_ids = itertools.count(STREAMING_SHADOW_ID_BASE)
-            if ticking:
-                self._events.push(0.0, EVENT_SAMPLE, None)
-        else:
-            self._shadow_ids = itertools.count(
-                (max((j.job_id for j in trace), default=0) + 1) if len(trace) else 1
-            )
         self._finished = False
-
-        if not streaming:
-            events: List[Tuple[float, int, object]] = [
-                (spec.submit_minute, EVENT_SUBMIT, Job(spec)) for spec in trace
-            ]
-            if ticking:
-                events.append((0.0, EVENT_SAMPLE, None))
-            self._events.push_many_unsorted(events)
+        self._queue_next_submission(0.0)
+        # The sampling tick also drives the sampled telemetry gauges and
+        # the deep invariant checks, so it runs whenever any of the
+        # three wants it; only the StateSample append honours
+        # ``record_samples``.
+        if (
+            self.config.record_samples
+            or self._telemetry is not None
+            or self.config.check_invariants
+        ):
+            self._events.push(0.0, EVENT_SAMPLE, None)
         self._faults: Optional[FaultInjector] = None
         if self.config.faults.enabled:
             self._faults = FaultInjector(
@@ -239,8 +313,7 @@ class SimulationEngine:
             )
             self._faults.schedule_initial(self._events, self.pool_order, self.pools)
         # Handler table indexed by event kind (the kinds are dense small
-        # ints); every handler takes (payload, now).  Replaces a per-event
-        # if/elif chain in the drain loop.
+        # ints); every handler takes (payload, now).
         handlers = {
             EVENT_SUBMIT: self._on_submit,
             EVENT_FINISH: self._on_finish,
@@ -254,7 +327,22 @@ class SimulationEngine:
             EVENT_JOB_FAILURE: self._on_job_failure,
             EVENT_JOB_RETRY: self._on_job_retry,
         }
-        self._dispatch = tuple(handlers[kind] for kind in range(len(handlers)))
+        self._dispatch = tuple(
+            self._instrumented(handlers[kind], EVENT_NAMES[kind])
+            for kind in range(len(handlers))
+        )
+
+    def _instrumented(self, handler: Handler, name: str) -> Handler:
+        """``handler`` wrapped with the enabled profiler and event counter.
+
+        Instrumentation lives in the handler table, not the event loop:
+        with telemetry and profiling off the handler is returned as is.
+        """
+        if self._profiler is not None:
+            handler = _timed(handler, name, self._profiler.record)
+        if self._telemetry is not None:
+            handler = _counted(handler, name, self._telemetry.count_queue_event)
+        return handler
 
     # -- public API -----------------------------------------------------------------
 
@@ -276,51 +364,33 @@ class SimulationEngine:
     def run(self) -> SimulationResult:
         """Execute until every job completes; return the result.
 
-        With a ``sink`` the return value is ``sink.finalize(...)``'s
-        result (an :class:`~repro.simulator.online.OnlineResults` for
-        the standard sink) instead of a :class:`SimulationResult`.
+        The return value is the sink's ``finalize(...)`` result: a
+        :class:`SimulationResult` for the default
+        :class:`~repro.simulator.results.RecordingSink`, the sink itself
+        for :class:`~repro.simulator.online.OnlineResults`.
         """
         if self._finished:
             raise SimulationError("engine instances are single-use; build a new one")
         max_minutes = self.config.max_minutes
+        deadline = math.inf if max_minutes is None else max_minutes
+        # Fault renewal processes (machine crash/recover) outlive the
+        # workload; once every job is accounted for, the remaining
+        # events are pure fault noise and the run is over.  Without
+        # faults the queue drains naturally.
+        stop_when_done = self._faults is not None
         events = self._events
-        telemetry = self._telemetry
+        pop = events.pop
+        dispatch = self._dispatch
         profiler = self._profiler
         if profiler is not None:
             profiler.start()
-        faults = self._faults
-        dispatch = self._dispatch
-        pop = events.pop
-        if self._feed is not None:
-            self._drain_streaming()
-        elif telemetry is None and profiler is None:
-            # Fast drain: no per-event instrumentation checks at all.
-            # Fault renewal processes (machine crash/recover) outlive
-            # the workload; once every job is accounted for, the
-            # remaining events are pure fault noise and the run is over.
-            # Without faults the queue drains naturally, exactly as
-            # before.
-            while len(events):
-                if faults is not None and self._outstanding == 0:
-                    break
-                time, _, kind, payload = pop()
-                if max_minutes is not None and time > max_minutes:
-                    self._check_deadline(max_minutes)
-                dispatch[kind](payload, time)
-        else:
-            while len(events):
-                if faults is not None and self._outstanding == 0:
-                    break
-                time, _, kind, payload = pop()
-                if max_minutes is not None and time > max_minutes:
-                    self._check_deadline(max_minutes)
-                if telemetry is not None:
-                    telemetry.count_queue_event(EVENT_NAMES[kind])
-                if profiler is not None:
-                    started_at = perf_counter()
-                dispatch[kind](payload, time)
-                if profiler is not None:
-                    profiler.record(EVENT_NAMES[kind], perf_counter() - started_at)
+        while events:
+            if stop_when_done and self._outstanding == 0 and self._feed_exhausted:
+                break
+            time, _, kind, payload = pop()
+            if time > deadline:
+                self._check_deadline(max_minutes)
+            dispatch[kind](payload, time)
         if profiler is not None:
             profiler.stop()
         if self._outstanding != 0:
@@ -328,6 +398,7 @@ class SimulationEngine:
                 f"event queue drained with {self._outstanding} jobs unfinished"
             )
         self._finished = True
+        telemetry = self._telemetry
         if telemetry is not None:
             telemetry.finalize(
                 self.now,
@@ -343,111 +414,22 @@ class SimulationEngine:
             close = getattr(observer, "close", None)
             if close is not None:
                 close()
+        # Break the engine's only reference cycles so a finished run is
+        # freed by reference counting, not whenever the cyclic GC runs.
+        self._dispatch = ()
+        self.view = None
         fault_stats = None
-        if faults is not None:
-            # The sink accumulates completed demand record-by-record in
-            # the same order finalize() would sum it, so both paths
-            # produce bit-identical goodput.
-            fault_stats = (
-                faults.finalize_with_goodput(self._sink.goodput_minutes)
-                if self._sink is not None
-                else faults.finalize(self._records)
-            )
-        if self._sink is not None:
-            return self._sink.finalize(
-                pool_ids=self.pool_order,
-                policy_name=self.policy.name,
-                scheduler_name=self.scheduler.name,
-                total_cores=self.total_cores,
-                fault_stats=fault_stats,
-            )
-        return SimulationResult(
-            records=self._records,
-            samples=self._samples,
+        if self._faults is not None:
+            # Every sink sums completed demand in completion order, so
+            # goodput is bit-identical across sinks.
+            fault_stats = self._faults.finalize_with_goodput(self._sink.goodput_minutes)
+        return self._sink.finalize(
             pool_ids=self.pool_order,
             policy_name=self.policy.name,
             scheduler_name=self.scheduler.name,
             total_cores=self.total_cores,
             fault_stats=fault_stats,
         )
-
-    def _drain_streaming(self) -> None:
-        """The event loop for a lazily consumed (streaming) trace feed.
-
-        Submissions are *pulled* from the feed and processed directly —
-        never queued — so memory stays constant in the trace length:
-        only in-flight jobs and their runtime events are live at any
-        moment.  Pop order is nevertheless **bit-identical** to the
-        materialised path: bulk load gives every submission a lower seq
-        than any runtime event, so at equal times submissions fire
-        first, in trace order — exactly what processing the next
-        arrival whenever ``submit_minute <= peek_time()`` reproduces
-        (the clock is advanced to the submission time first, as a popped
-        event would have done).
-        """
-        events = self._events
-        max_minutes = self.config.max_minutes
-        telemetry = self._telemetry
-        profiler = self._profiler
-        instrumented = telemetry is not None or profiler is not None
-        faults = self._faults
-        dispatch = self._dispatch
-        pop = events.pop
-        peek = events.peek_time
-        advance = events.advance_to
-        on_submit = self._on_submit
-        feed = self._feed
-        next_spec = next(feed, None)
-        if next_spec is None:
-            self._feed_exhausted = True
-        last_submit = 0.0
-        while True:
-            if next_spec is not None:
-                queue_time = peek()
-                submit_minute = next_spec.submit_minute
-                if queue_time is None or submit_minute <= queue_time:
-                    if submit_minute < last_submit:
-                        raise SimulationError(
-                            f"streaming trace feed is not sorted by submission "
-                            f"time: job {next_spec.job_id} submits at minute "
-                            f"{submit_minute} after minute {last_submit}"
-                        )
-                    last_submit = submit_minute
-                    if max_minutes is not None and submit_minute > max_minutes:
-                        self._check_deadline(max_minutes)
-                    advance(submit_minute)
-                    self._outstanding += 1
-                    if instrumented:
-                        if telemetry is not None:
-                            telemetry.count_queue_event("submit")
-                        if profiler is not None:
-                            started_at = perf_counter()
-                        on_submit(Job(next_spec), submit_minute)
-                        if profiler is not None:
-                            profiler.record("submit", perf_counter() - started_at)
-                    else:
-                        on_submit(Job(next_spec), submit_minute)
-                    next_spec = next(feed, None)
-                    if next_spec is None:
-                        self._feed_exhausted = True
-                    continue
-            if not len(events):
-                break
-            if faults is not None and next_spec is None and self._outstanding == 0:
-                break
-            time, _, kind, payload = pop()
-            if max_minutes is not None and time > max_minutes:
-                self._check_deadline(max_minutes)
-            if instrumented:
-                if telemetry is not None:
-                    telemetry.count_queue_event(EVENT_NAMES[kind])
-                if profiler is not None:
-                    started_at = perf_counter()
-                dispatch[kind](payload, time)
-                if profiler is not None:
-                    profiler.record(EVENT_NAMES[kind], perf_counter() - started_at)
-            else:
-                dispatch[kind](payload, time)
 
     def _check_deadline(self, max_minutes: float) -> None:
         """Raise for an event past ``max_minutes`` unless the work is done.
@@ -550,7 +532,28 @@ class SimulationEngine:
             for observer in self._observers:
                 observer.on_event(sim_event)
 
+    def _queue_next_submission(self, now: float) -> None:
+        """Pull the feed's next job and queue its submission.
+
+        ``now`` is the previous submission's minute (0 before the
+        first); a feed going back in time is rejected.
+        """
+        job = next(self._feed, None)
+        if job is None:
+            self._feed_exhausted = True
+            return
+        submit_minute = job.spec.submit_minute
+        if submit_minute < now:
+            raise SimulationError(
+                f"trace feed is not sorted by submission time: job "
+                f"{job.job_id} submits at minute {submit_minute} after "
+                f"minute {now}"
+            )
+        self._events.push_submission(submit_minute, job)
+
     def _on_submit(self, job: Job, now: float) -> None:
+        self._outstanding += 1
+        self._queue_next_submission(now)
         if self._emit_enabled:
             self._emit(now, "submit", job)
         self._place_via_vpm(job, now)
@@ -1124,70 +1127,14 @@ class SimulationEngine:
             self._outstanding -= 1
             return
         identity = partner if winner.is_shadow else winner
-        attempts = [winner, partner]
-        record = JobRecord(
-            job_id=identity.job_id,
-            priority=identity.priority,
-            submit_minute=identity.spec.submit_minute,
-            finish_minute=now,
-            runtime_minutes=identity.spec.runtime_minutes,
-            cores=identity.spec.cores,
-            memory_gb=identity.spec.memory_gb,
-            wait_time=sum(a.total_wait for a in attempts),
-            suspend_time=sum(a.total_suspend for a in attempts),
-            wasted_restart_time=sum(a.wasted_restart for a in attempts),
-            suspension_count=sum(a.suspension_count for a in attempts),
-            restart_count=sum(a.restart_count for a in attempts) + 1,
-            migration_count=sum(a.migration_count for a in attempts),
-            waiting_move_count=sum(a.waiting_move_count for a in attempts),
-            pools_visited=tuple(
-                dict.fromkeys(p for a in attempts for p in a.pools_visited)
-            ),
-            rejected=False,
-            task_id=identity.spec.task_id,
-            user=identity.spec.user,
-            machine_failures=sum(a.machine_failures for a in attempts),
-            transient_failures=sum(a.transient_failures for a in attempts),
-            failed=False,
-        )
-        self._add_record(record)
+        self._add_record(_merged_record(identity, (winner, partner), now, restarts=1))
         self._outstanding -= 1
 
     def _record_failure(self, job: Job, partner: Optional[Job], now: float) -> None:
         """Emit the JobRecord for a permanently failed logical job."""
-        identity = job
-        attempts = [job]
-        if partner is not None:
-            attempts.append(partner)
-            if job.is_shadow:
-                identity = partner
-        self._add_record(
-            JobRecord(
-                job_id=identity.job_id,
-                priority=identity.priority,
-                submit_minute=identity.spec.submit_minute,
-                finish_minute=None,
-                runtime_minutes=identity.spec.runtime_minutes,
-                cores=identity.spec.cores,
-                memory_gb=identity.spec.memory_gb,
-                wait_time=sum(a.total_wait for a in attempts),
-                suspend_time=sum(a.total_suspend for a in attempts),
-                wasted_restart_time=sum(a.wasted_restart for a in attempts),
-                suspension_count=sum(a.suspension_count for a in attempts),
-                restart_count=sum(a.restart_count for a in attempts),
-                migration_count=sum(a.migration_count for a in attempts),
-                waiting_move_count=sum(a.waiting_move_count for a in attempts),
-                pools_visited=tuple(
-                    dict.fromkeys(p for a in attempts for p in a.pools_visited)
-                ),
-                rejected=False,
-                task_id=identity.spec.task_id,
-                user=identity.spec.user,
-                machine_failures=sum(a.machine_failures for a in attempts),
-                transient_failures=sum(a.transient_failures for a in attempts),
-                failed=True,
-            )
-        )
+        attempts = (job,) if partner is None else (job, partner)
+        identity = partner if partner is not None and job.is_shadow else job
+        self._add_record(_merged_record(identity, attempts, None))
         self._outstanding -= 1
         self._faults.note_permanent_failure()
 

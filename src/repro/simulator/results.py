@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-__all__ = ["JobRecord", "StateSample", "SimulationResult"]
+__all__ = ["JobRecord", "StateSample", "SimulationResult", "RecordingSink"]
 
 
 @dataclass(frozen=True)
@@ -214,3 +214,52 @@ class SimulationResult:
         for record in self.completed_records():
             grouped.setdefault(record.user, []).append(record)
         return grouped
+
+
+class RecordingSink:
+    """The engine's default result sink: keeps every record and sample.
+
+    Same protocol as :class:`~repro.simulator.online.OnlineResults`;
+    :meth:`finalize` wraps what was recorded in a
+    :class:`SimulationResult`.
+    """
+
+    __slots__ = ("records", "samples", "add_record", "add_sample")
+
+    def __init__(self) -> None:
+        self.records: List[JobRecord] = []
+        self.samples: List[StateSample] = []
+        self.add_record = self.records.append
+        self.add_sample = self.samples.append
+
+    @property
+    def goodput_minutes(self) -> float:
+        """Completed reference-speed demand (``FaultStats.goodput_minutes``).
+
+        Summed left to right in completion order, the additions
+        :class:`~repro.simulator.online.OnlineResults` makes record by
+        record, so both sinks give bit-identical goodput.
+        """
+        return sum(
+            r.runtime_minutes
+            for r in self.records
+            if not r.rejected and r.finish_minute is not None
+        )
+
+    def finalize(
+        self,
+        pool_ids: Sequence[str],
+        policy_name: str,
+        scheduler_name: str,
+        total_cores: int,
+        fault_stats=None,
+    ) -> SimulationResult:
+        return SimulationResult(
+            records=self.records,
+            samples=self.samples,
+            pool_ids=pool_ids,
+            policy_name=policy_name,
+            scheduler_name=scheduler_name,
+            total_cores=total_cores,
+            fault_stats=fault_stats,
+        )

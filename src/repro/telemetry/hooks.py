@@ -19,7 +19,7 @@ Metric schema (all names prefixed ``repro_``):
 ``repro_policy_decisions_total{policy=,action=}``  counter  rescheduling-policy decisions
 ``repro_sim_samples_total``                     counter    sampler ticks
 ``repro_sim_minutes``                           gauge      final simulated time
-``repro_jobs_outstanding``                      gauge      jobs left (0 after a run)
+``repro_jobs_outstanding``                      gauge      submitted, unfinished jobs (0 after a run)
 ``repro_cluster_utilization``                   gauge      last sampled busy fraction
 ``repro_pool_busy_cores{pool=}``                gauge      last sampled busy cores
 ``repro_pool_utilization{pool=}``               gauge      last sampled busy fraction

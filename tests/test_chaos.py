@@ -35,15 +35,12 @@ from repro.chaos.plan import (
     worker_suffix,
 )
 from repro.errors import ReproError
-from repro.experiments.cache import ResultCache
+from repro.experiments.cache import ResultCache, sweep_tmp_droppings
 from repro.experiments.parallel import GridReport
 from repro.fabric.backends import SubprocessWorkerBackend
 from repro.fabric.lease import CLAIMED, DONE, LeaseStore
 from repro.fabric.presets import build_grid
-from repro.fabric.supervisor import (
-    sweep_settled_leases,
-    sweep_tmp_droppings,
-)
+from repro.fabric.supervisor import sweep_settled_leases
 from repro.fabric.worker import run_worker, write_manifest
 
 

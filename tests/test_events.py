@@ -1,6 +1,7 @@
 """Unit tests for the event queue and simulation config."""
 
 import random
+from bisect import insort
 
 import pytest
 
@@ -14,8 +15,38 @@ from repro.simulator.events import (
     EVENT_SUBMIT,
     CalendarEventQueue,
     EventQueue,
-    HeapEventQueue,
+    bucket_width_for,
 )
+
+
+class SortedListEventQueue:
+    """Reference scheduler: one list kept sorted, popped from the front.
+
+    The specification the calendar queue must reproduce: events pop by
+    time; at equal times submissions come first, then runtime events,
+    each in push order.
+    """
+
+    def __init__(self):
+        self._events = []
+        self._pushed = 0
+        self.now = 0.0
+
+    def __len__(self):
+        return len(self._events)
+
+    def push(self, time, kind, payload=None):
+        insort(self._events, (time, 1, self._pushed, kind, payload))
+        self._pushed += 1
+
+    def push_submission(self, time, job):
+        insort(self._events, (time, 0, self._pushed, EVENT_SUBMIT, job))
+        self._pushed += 1
+
+    def pop(self):
+        time, _, _, kind, payload = self._events.pop(0)
+        self.now = time
+        return time, kind, payload
 
 
 class TestEventQueue:
@@ -50,28 +81,28 @@ class TestEventQueue:
         with pytest.raises(SimulationError):
             EventQueue().pop()
 
-    def test_peek_time(self):
+    def test_submissions_pop_first_at_equal_times(self):
         q = EventQueue()
-        assert q.peek_time() is None
-        q.push(3.0, EVENT_SAMPLE, None)
-        assert q.peek_time() == 3.0
+        q.push(2.0, EVENT_FINISH, "runtime")
+        q.push_submission(2.0, "first")
+        q.push_submission(2.0, "second")
+        q.push(1.0, EVENT_SAMPLE, "earlier")
+        assert [q.pop()[3] for _ in range(4)] == [
+            "earlier", "first", "second", "runtime",
+        ]
 
-    def test_bulk_load(self):
+    def test_submission_is_a_submit_event(self):
         q = EventQueue()
-        q.push_many_unsorted([(3.0, EVENT_SUBMIT, "c"), (1.0, EVENT_SUBMIT, "a")])
-        assert len(q) == 2
-        assert q.pop()[3] == "a"
+        q.push_submission(3.0, "job")
+        time, _, kind, payload = q.pop()
+        assert (time, kind, payload) == (3.0, EVENT_SUBMIT, "job")
 
-    def test_bulk_load_only_when_pristine(self):
+    def test_cannot_submit_in_past(self):
         q = EventQueue()
-        q.push(1.0, EVENT_SUBMIT, None)
+        q.push(5.0, EVENT_FINISH, None)
+        q.pop()
         with pytest.raises(SimulationError):
-            q.push_many_unsorted([(2.0, EVENT_FINISH, None)])
-
-    def test_bulk_load_preserves_input_order_on_ties(self):
-        q = EventQueue()
-        q.push_many_unsorted([(1.0, EVENT_SUBMIT, "first"), (1.0, EVENT_SUBMIT, "second")])
-        assert q.pop()[3] == "first"
+            q.push_submission(4.0, None)
 
 
 class TestCalendarQueue:
@@ -80,11 +111,18 @@ class TestCalendarQueue:
     def test_engine_queue_is_the_calendar_queue(self):
         assert EventQueue is CalendarEventQueue
 
-    def test_bulk_load_sizes_buckets_from_span(self):
-        q = CalendarEventQueue()
-        q.push_many_unsorted([(float(i), EVENT_SUBMIT, i) for i in range(1024)])
-        assert q.bucket_width < 1023.0  # resized, not the default
+    def test_bucket_width_sized_from_span(self):
+        width = bucket_width_for(1023.0, 1024)
+        assert width == pytest.approx(1023.0 / 64)
+        q = CalendarEventQueue(width)
+        for i in reversed(range(1024)):
+            q.push(float(i), EVENT_SUBMIT, i)
+        assert q.bucket_width == width
         assert [q.pop()[3] for _ in range(1024)] == list(range(1024))
+
+    def test_small_or_instant_loads_keep_default_width(self):
+        assert bucket_width_for(1023.0, 10) == CalendarEventQueue().bucket_width
+        assert bucket_width_for(0.0, 1024) == CalendarEventQueue().bucket_width
 
     def test_push_into_active_bucket_mid_consumption(self):
         q = CalendarEventQueue(bucket_width=10.0)
@@ -111,42 +149,52 @@ class TestCalendarQueue:
         with pytest.raises(SimulationError):
             CalendarEventQueue(bucket_width=0.0)
 
-    def test_bulk_load_rejects_negative_times(self):
-        q = CalendarEventQueue()
-        with pytest.raises(SimulationError):
-            q.push_many_unsorted([(-1.0, EVENT_SUBMIT, None)])
-
 
 class TestCalendarHeapDifferential:
-    """The bucketed queue must reproduce the heap's pop order exactly.
+    """The bucketed queue must pop in exactly heap order.
+
+    Heap order is the ``(time, seq)`` order the engine's original binary
+    heap popped in; :class:`SortedListEventQueue` is its specification.
 
     Same-timestamp events have to pop in the exact (time, sequence)
-    order the heap produced, or fault-injected runs silently diverge
-    from the seed — this replays large randomized mixed schedules
-    (bulk load, interleaved pushes at the current minute, heavy ties)
-    through both implementations and asserts identical pop streams.
+    order, or fault-injected runs silently diverge from the seed — this
+    replays large randomized mixed schedules (an unsorted initial
+    population, a sorted submission feed, interleaved pushes at the
+    current minute, heavy ties) through the calendar queue and the
+    sorted-list oracle and asserts identical pop streams.
     """
 
     KINDS = sorted(EVENT_NAMES)
 
-    def _differential(self, rng, total_events, bulk_count, tie_fraction, width=None):
+    def _differential(
+        self, rng, total_events, initial_count, tie_fraction, width=None
+    ):
         calendar = (
             CalendarEventQueue(bucket_width=width)
             if width is not None
             else CalendarEventQueue()
         )
-        heap = HeapEventQueue()
-        bulk = [
-            (round(rng.uniform(0.0, 5000.0), 2), rng.choice(self.KINDS), i)
-            for i in range(bulk_count)
-        ]
-        calendar.push_many_unsorted(bulk)
-        heap.push_many_unsorted(bulk)
-        pushed = bulk_count
+        oracle = SortedListEventQueue()
+        for i in range(initial_count):
+            time = round(rng.uniform(0.0, 5000.0), 2)
+            kind = rng.choice(self.KINDS)
+            calendar.push(time, kind, i)
+            oracle.push(time, kind, i)
+        pushed = initial_count
         popped = 0
+        last_submit = 0.0
         while popped < total_events:
             if pushed < total_events and (len(calendar) == 0 or rng.random() < 0.45):
                 a = calendar.now
+                if rng.random() < 0.3:
+                    # The submission feed: sorted, never in the past.
+                    last_submit = max(last_submit, a)
+                    if rng.random() >= tie_fraction:
+                        last_submit = round(last_submit + rng.uniform(0.0, 7.0), 2)
+                    calendar.push_submission(last_submit, pushed)
+                    oracle.push_submission(last_submit, pushed)
+                    pushed += 1
+                    continue
                 if rng.random() < tie_fraction:
                     time = a  # exact tie with the current minute
                 elif rng.random() < 0.5:
@@ -155,29 +203,34 @@ class TestCalendarHeapDifferential:
                     time = round(a + rng.uniform(0.0, 900.0), 2)  # far future
                 kind = rng.choice(self.KINDS)
                 calendar.push(time, kind, pushed)
-                heap.push(time, kind, pushed)
+                oracle.push(time, kind, pushed)
                 pushed += 1
                 continue
-            got = calendar.pop()
-            want = heap.pop()
-            assert got == want, f"divergence at pop #{popped}: {got} != {want}"
+            time, _, kind, payload = calendar.pop()
+            want = oracle.pop()
+            assert (time, kind, payload) == want, (
+                f"divergence at pop #{popped}: {(time, kind, payload)} != {want}"
+            )
+            assert calendar.now == oracle.now
             popped += 1
-        assert len(calendar) == len(heap) == 0
+        assert len(calendar) == len(oracle) == 0
 
     def test_replay_100k_mixed_events_identical_order(self):
         rng = random.Random(0xC0FFEE)
-        self._differential(rng, total_events=100_000, bulk_count=30_000, tie_fraction=0.3)
+        self._differential(
+            rng, total_events=100_000, initial_count=30_000, tie_fraction=0.3
+        )
 
     def test_replay_heavy_ties_small_width(self):
         rng = random.Random(42)
         self._differential(
-            rng, total_events=20_000, bulk_count=0, tie_fraction=0.7, width=0.5
+            rng, total_events=20_000, initial_count=0, tie_fraction=0.7, width=0.5
         )
 
     def test_replay_wide_buckets(self):
         rng = random.Random(7)
         self._differential(
-            rng, total_events=20_000, bulk_count=5_000, tie_fraction=0.2, width=4096.0
+            rng, total_events=20_000, initial_count=5_000, tie_fraction=0.2, width=4096.0
         )
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.metrics.cdf import EmpiricalCDF
-from repro.simulator.events import EVENT_SUBMIT, EventQueue
+from repro.simulator.events import EVENT_FINISH, EVENT_SUBMIT, EventQueue
 from repro.simulator.job import Job
 from repro.simulator.queues import PriorityWaitQueue
 from repro.workload.distributions import BoundedPareto, LogNormal, quantile
@@ -117,12 +117,20 @@ def test_wait_queue_matches_reference_model(operations):
 # -- event queue -------------------------------------------------------------------
 
 
-@given(times=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=200))
-def test_event_queue_pops_sorted(times):
+@given(
+    times=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=200),
+    submissions=st.lists(st.floats(0.0, 1e6), max_size=200),
+)
+def test_event_queue_pops_sorted(times, submissions):
     q = EventQueue()
-    q.push_many_unsorted([(t, EVENT_SUBMIT, i) for i, t in enumerate(times)])
-    popped = [q.pop()[0] for _ in range(len(times))]
-    assert popped == sorted(popped)
+    for i, t in enumerate(times):
+        q.push(t, EVENT_FINISH, i)
+    for i, t in enumerate(sorted(submissions)):
+        q.push_submission(t, i)
+    popped = [q.pop() for _ in range(len(times) + len(submissions))]
+    # By time; at equal times submissions first; each kind in push order.
+    keys = [(time, kind != EVENT_SUBMIT, payload) for time, _, kind, payload in popped]
+    assert keys == sorted(keys)
 
 
 # -- trace ------------------------------------------------------------------------

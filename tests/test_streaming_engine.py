@@ -2,19 +2,101 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 import repro
 from repro.errors import SimulationError
 from repro.faults import FaultConfig, MachineChurn
 from repro.simulator.config import SimulationConfig
+from repro.simulator.engine import SimulationEngine
+from repro.telemetry import Instrumentation, MetricsRegistry
 from repro.workload.distributions import Exponential
 from repro.workload.traces import TraceReplaySpec, default_replay_spec, generate_swf_fixture
 
 from conftest import make_cluster, make_job, make_trace
 
 
+#: The paper baselines, a duplication policy and the two extension families.
+RECORD_POLICIES = (
+    "NoRes",
+    "ResSusRand",
+    "ResSusUtil",
+    "ResSusWaitRand",
+    "ResSusWaitUtil",
+    "dup_sus",
+    "dfrs:share=0.5,floor=0.1",
+    "migration_cost:transfer_minutes=5",
+)
+
+CHURN = FaultConfig(
+    machine_churn=MachineChurn(mtbf=Exponential(300.0), mttr=Exponential(20.0))
+)
+
+
+#: Three pools; the high-priority jobs may only run in ``p0``, so they
+#: preempt there while the other pools have room to reschedule into.
+CONTENDED_POOLS = (("p0", 2), ("p1", 2), ("p2", 1))
+
+
+def contended_jobs():
+    """Three submissions per instant, mixed priorities, ``p0`` oversubscribed."""
+    return [
+        make_job(i, submit=(i // 3) * 4.0, runtime=20.0 + (i % 7) * 6,
+                 priority=(0, 50, 100)[i % 3], cores=1 + i % 3,
+                 candidate_pools=("p0",) if i % 3 == 2 else None)
+        for i in range(90)
+    ]
+
+
+def contended_engine(feed, spec, config):
+    policy = repro.policy_from_spec(spec, defaults={"wait_threshold": 10.0})
+    return SimulationEngine(
+        feed, make_cluster(CONTENDED_POOLS), policy=policy, config=config
+    )
+
+
 class TestEquivalence:
+    @pytest.mark.parametrize("faults", [None, CHURN], ids=["plain", "churn"])
+    @pytest.mark.parametrize("spec", RECORD_POLICIES)
+    def test_trace_and_stream_give_identical_records(self, spec, faults):
+        config = SimulationConfig(strict=False)
+        if faults is not None:
+            config = replace(config, faults=faults)
+        jobs = contended_jobs()
+        materialized = contended_engine(make_trace(jobs), spec, config).run()
+        streamed = contended_engine(iter(jobs), spec, config).run()
+        assert streamed.records == materialized.records
+        assert streamed.samples == materialized.samples
+        assert streamed.fault_stats == materialized.fault_stats
+        # The workload exercises what the policies act on.
+        assert any(r.suspension_count for r in materialized.records)
+        if faults is not None:
+            assert materialized.fault_stats.machine_crashes > 0
+
+    def test_instrumentation_leaves_records_unchanged(self):
+        jobs = contended_jobs()
+        config = SimulationConfig(strict=False, faults=CHURN)
+        plain = contended_engine(make_trace(jobs), "ResSusWaitUtil", config).run()
+        registry = MetricsRegistry()
+        instrumented = replace(
+            config, instrumentation=Instrumentation(metrics=registry, profile=True)
+        )
+        engine = contended_engine(make_trace(jobs), "ResSusWaitUtil", instrumented)
+        result = engine.run()
+        assert result.records == plain.records
+        assert result.samples == plain.samples
+        assert result.fault_stats == plain.fault_stats
+        profiled = {h.handler: h.events for h in engine.profile_report().handlers}
+        counted = {
+            labels[0]: int(series.value)
+            for labels, series in registry.get("repro_engine_queue_events_total").series()
+        }
+        assert profiled == counted
+        assert profiled["submit"] == len(jobs)
+        assert profiled["machine-crash"] > 0
+
     def test_streaming_matches_materialized_records(self):
         jobs = [
             make_job(i, submit=i * 2.0, runtime=20.0 + (i % 5) * 7,
@@ -58,6 +140,32 @@ class TestEquivalence:
             template.build(repro.RandomStreams(2010)),
         )
         assert again.summary() == summary
+
+
+class TestEngineLifetime:
+    @pytest.mark.parametrize("instrumented", [False, True], ids=["plain", "instrumented"])
+    def test_finished_engine_is_freed_by_reference_counting(self, instrumented):
+        # Grid workers run cell after cell; a finished engine left in a
+        # reference cycle holds its pools and records until the cyclic
+        # collector happens to run.
+        import gc
+        import weakref
+
+        config = SimulationConfig(strict=False, faults=CHURN)
+        if instrumented:
+            config = replace(
+                config,
+                instrumentation=Instrumentation(metrics=MetricsRegistry(), profile=True),
+            )
+        engine = contended_engine(make_trace(contended_jobs()), "dup_sus", config)
+        engine.run()
+        ref = weakref.ref(engine)
+        gc.disable()
+        try:
+            del engine
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestFeedValidation:
